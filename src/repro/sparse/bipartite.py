@@ -23,7 +23,17 @@ import numpy as np
 from repro._util import asarray_f64, asarray_i64, check_same_length
 from repro.errors import DimensionError, ValidationError
 
-__all__ = ["BipartiteGraph"]
+__all__ = ["BipartiteGraph", "find_sorted"]
+
+
+def find_sorted(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Position of each ``probe`` value in the sorted ``keys``; ``-1`` where absent."""
+    if len(keys) == 0:
+        return np.full(len(probe), -1, dtype=np.int64)
+    pos = np.searchsorted(keys, probe)
+    # A probe past the last key lands on it and fails the equality test.
+    np.minimum(pos, len(keys) - 1, out=pos)
+    return np.where(keys[pos] == probe, pos, -1)
 
 
 @dataclass
@@ -51,6 +61,7 @@ class BipartiteGraph:
     _row_ptr: np.ndarray = field(default=None, repr=False, compare=False)
     _col_ptr: np.ndarray = field(default=None, repr=False, compare=False)
     _col_perm: np.ndarray = field(default=None, repr=False, compare=False)
+    _keys: np.ndarray = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -111,13 +122,13 @@ class BipartiteGraph:
         self.edge_b = asarray_i64(self.edge_b)
         self.weights = asarray_f64(self.weights)
         m = check_same_length(self.edge_a, self.edge_b, self.weights)
+        self._keys = self.edge_a * self.n_b + self.edge_b
         if m:
             if self.edge_a.min() < 0 or self.edge_a.max() >= self.n_a:
                 raise ValidationError("A-side endpoint out of range")
             if self.edge_b.min() < 0 or self.edge_b.max() >= self.n_b:
                 raise ValidationError("B-side endpoint out of range")
-            keys = self.edge_a * self.n_b + self.edge_b
-            if np.any(np.diff(keys) <= 0):
+            if np.any(np.diff(self._keys) <= 0):
                 raise ValidationError(
                     "edges must be strictly sorted by (a, b); "
                     "use from_edges() for arbitrary input"
@@ -164,6 +175,13 @@ class BipartiteGraph:
         """Edge-id permutation grouping edges by B-vertex (sorted by ``(b, a)``)."""
         return self._col_perm
 
+    @property
+    def keys(self) -> np.ndarray:
+        """Sorted edge keys ``edge_a * n_b + edge_b`` (edge id = position)."""
+        if self._keys is None:  # assembled without __post_init__
+            self._keys = self.edge_a * self.n_b + self.edge_b
+        return self._keys
+
     def degrees_a(self) -> np.ndarray:
         """Per-A-vertex edge counts."""
         return np.diff(self._row_ptr)
@@ -183,20 +201,15 @@ class BipartiteGraph:
     def lookup_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized ``(a, b) -> edge id`` lookup; ``-1`` where absent.
 
-        This is the hash join used to build the squares matrix **S**:
-        the edge keys are already sorted, so a ``searchsorted`` suffices.
+        The edge keys are already sorted, so a ``searchsorted`` suffices.
+        Pairs with an endpoint outside ``[0, n_a)`` or ``[0, n_b)`` are
+        absent (their key would otherwise alias another pair's).
         """
         a = asarray_i64(a)
         b = asarray_i64(b)
-        probe = a * self.n_b + b
-        if self.n_edges == 0:
-            return np.full(len(probe), -1, dtype=np.int64)
-        keys = self.edge_a * self.n_b + self.edge_b
-        pos = np.searchsorted(keys, probe)
-        pos_clipped = np.minimum(pos, len(keys) - 1)
-        found = (pos < len(keys)) & (keys[pos_clipped] == probe)
-        result = np.where(found, pos_clipped, -1)
-        return result.astype(np.int64)
+        result = find_sorted(self.keys, a * self.n_b + b)
+        result[(a < 0) | (a >= self.n_a) | (b < 0) | (b >= self.n_b)] = -1
+        return result
 
     # ------------------------------------------------------------------
     # Views for the matching substrate
@@ -256,4 +269,5 @@ class BipartiteGraph:
         g._row_ptr = self._row_ptr
         g._col_ptr = self._col_ptr
         g._col_perm = self._col_perm
+        g._keys = self._keys
         return g

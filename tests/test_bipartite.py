@@ -103,6 +103,19 @@ class TestViews:
         g = BipartiteGraph.from_edges(2, 2, [], [], [])
         assert g.lookup_edges([0], [0])[0] == -1
 
+    def test_lookup_out_of_range_is_absent(self):
+        # Keys a * n_b + b of these probes equal the key of edge (1, 1).
+        g = BipartiteGraph.from_edges(3, 3, [0, 1, 2], [0, 1, 2], 1.0)
+        assert g.lookup_edges([1], [1])[0] == 1
+        eids = g.lookup_edges([0, 2, -1, 3, 1], [4, -2, 4, -2, 3])
+        assert np.all(eids == -1)
+
+    def test_keys_cached_and_sorted(self):
+        g = small()
+        assert np.array_equal(g.keys, g.edge_a * g.n_b + g.edge_b)
+        assert np.all(np.diff(g.keys) > 0)
+        assert g.with_weights(g.weights * 2).keys is g.keys
+
 
 class TestGeneralGraph:
     def test_shapes(self):

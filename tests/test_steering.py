@@ -9,13 +9,27 @@ from repro.core import (
     forbid_pairs,
     pin_pairs,
 )
+from repro.core.problem import NetworkAlignmentProblem
 from repro.errors import ConfigurationError, ValidationError
 from repro.generators import powerlaw_alignment_instance
+from repro.graph import Graph
+from repro.sparse.bipartite import BipartiteGraph
 
 
 @pytest.fixture()
 def instance():
     return powerlaw_alignment_instance(n=50, expected_degree=4, seed=17)
+
+
+def _diagonal_problem():
+    """3×3 instance whose candidates are (0,0), (1,1), (2,2)."""
+    g = Graph.from_edges(3, [0, 1], [1, 2])
+    ell = BipartiteGraph.from_edges(3, 3, [0, 1, 2], [0, 1, 2], 1.0)
+    return NetworkAlignmentProblem(g, g, ell)
+
+
+# Each of these pairs has the key a * n_b + b of the real candidate (1, 1).
+ALIASING_PAIRS = [(0, 4), (2, -2)]
 
 
 class TestForbid:
@@ -38,6 +52,11 @@ class TestForbid:
 
     def test_empty_is_noop(self, instance):
         assert forbid_pairs(instance.problem, []) is instance.problem
+
+    @pytest.mark.parametrize("pair", ALIASING_PAIRS)
+    def test_out_of_range_pair_rejected(self, pair):
+        with pytest.raises(ValidationError):
+            forbid_pairs(_diagonal_problem(), [pair])
 
     def test_solution_avoids_forbidden(self, instance):
         from repro.core import belief_propagation_align
@@ -85,6 +104,11 @@ class TestPin:
                 with pytest.raises(ValidationError):
                     pin_pairs(p, [(0, b)])
                 return
+
+    @pytest.mark.parametrize("pair", ALIASING_PAIRS)
+    def test_pin_out_of_range_pair_rejected(self, pair):
+        with pytest.raises(ValidationError):
+            pin_pairs(_diagonal_problem(), [pair])
 
     def test_pin_conflicting_pairs_rejected(self, instance):
         p = instance.problem
